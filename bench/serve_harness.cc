@@ -12,18 +12,20 @@
 // For each connection count (default 4/16/32/64) the harness issues a
 // mixed workload per connection — mostly forward queries, some narrow
 // backward ranges — plus two *fixed-rate* traffic classes that do not
-// scale with the pool: a rare GOMql text query (which serializes through
-// the pool's writer-exclusive gate) and, under `--mixed`, wire `deform`
-// updates. Their global intervals stretch with the connection count so
-// the exclusive-gate load stays the load of one interactive console and
-// one writer, however wide the pool gets — scaling the gate traffic with
-// the pool would measure Amdahl's law on the gate, not the reactor.
+// scale with the pool: a rare GOMql retrieve (a reader, but one that
+// evaluates the query and holds the gate for its whole plan) and, under
+// `--mixed`, wire `deform` updates through the writer-exclusive gate.
+// Their global intervals stretch with the connection count so this load
+// stays the load of one interactive console and one writer, however wide
+// the pool gets — scaling it with the pool would measure Amdahl's law on
+// the gate, not the reactor.
 //
 // Every request's wall-clock latency is recorded per operation class —
 // reads (forward + backward), updates (wire kUpdate operations), GOMql
 // text — and the summary reports p50/p99 per class plus throughput per
 // connection count: one blended latency would average sub-millisecond
-// shared-latch reads with exclusive-gate traffic and describe neither.
+// shared-latch reads with whole-plan GOMql and exclusive-gate updates and
+// describe neither.
 //
 // `--mixed` adds geometry traffic to the company workload: MeshPart
 // objects with materialized mesh functions live in the same environment,
@@ -265,7 +267,7 @@ int main(int argc, char** argv) {
 
   std::vector<ScalePoint> points;
   for (size_t nconns : conn_counts) {
-    // Fixed-rate exclusive-gate traffic: the global interval stretches
+    // Fixed-rate GOMql and update traffic: the global interval stretches
     // with the pool so gomql (and mixed updates) arrive at the narrowest
     // point's absolute rate regardless of connection count.
     const uint64_t gomql_interval = 16 * nconns;

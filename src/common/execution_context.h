@@ -35,9 +35,11 @@ struct SessionStats {
 ///   to be a `GmrManager` member: >0 while the manager (re)computes on
 ///   behalf of this session, so nested invocations of materialized
 ///   functions fall through to plain evaluation.
-/// - `concurrent` marks contexts running outside the single-threaded owner
-///   session. The GMR read path then stays strictly read-only (shared
-///   latches, no caching of misses, no reverse-reference writes).
+///
+/// A non-null context is a reader: the GMR read path then stays strictly
+/// read-only (shared latches, no caching of misses, no reverse-reference
+/// writes). A null context carries write authority — the owner thread, or
+/// a writer holding the session pool's writer gate.
 struct ExecutionContext {
   SimClock* clock = nullptr;
   SessionStats* stats = nullptr;
@@ -46,7 +48,6 @@ struct ExecutionContext {
   /// context travels as `const ExecutionContext*`. Only the session's own
   /// thread touches it.
   mutable int compute_depth = 0;
-  bool concurrent = false;
 };
 
 }  // namespace gom

@@ -62,8 +62,8 @@ Result<Value> Interpreter::Invoke(const ExecutionContext* ctx, FunctionId f,
 
 Result<Value> Interpreter::Evaluate(
     const Expr& e, std::unordered_map<std::string, Value> bindings,
-    Trace* trace) {
-  return Eval(e, bindings, trace, 0, nullptr);
+    Trace* trace, const ExecutionContext* ctx) {
+  return Eval(e, bindings, trace, 0, ctx);
 }
 
 Result<Value> Interpreter::InvokeAtDepth(FunctionId f, std::vector<Value> args,

@@ -115,10 +115,11 @@ class Interpreter {
 
   /// Evaluates a standalone expression under the given variable bindings
   /// (used by the query planner/executor for parsed GOMql predicates and
-  /// retrieve targets).
+  /// retrieve targets). `ctx` works as for the context-aware Invoke.
   Result<Value> Evaluate(const Expr& e,
                          std::unordered_map<std::string, Value> bindings,
-                         Trace* trace = nullptr);
+                         Trace* trace = nullptr,
+                         const ExecutionContext* ctx = nullptr);
 
   /// §3.2: "every invocation of a materialized function is mapped to a
   /// forward query that will be evaluated by the GMR manager". The

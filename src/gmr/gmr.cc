@@ -140,9 +140,7 @@ Result<std::optional<Value>> Gmr::ReadResult(const std::vector<Value>& args,
     return Status::InvalidArgument("GMR: bad function index");
   }
   lookups_.fetch_add(1, std::memory_order_relaxed);
-  SimClock* clk =
-      (ctx != nullptr && ctx->clock != nullptr) ? ctx->clock : clock_;
-  clk->Advance(cost_.cpu_index_op_seconds);
+  ClockFor(ctx)->Advance(cost_.cpu_index_op_seconds);
   GOMFM_ASSIGN_OR_RETURN(RowId row, arg_index_.Lookup(args));
   if (row >= rows_.size() || !rows_[row].live) {
     return Status::NotFound("GMR '" + spec_.name + "': no such row");
@@ -213,11 +211,16 @@ size_t Gmr::HotRowCount() const {
 }
 
 Result<const Gmr::Row*> Gmr::Get(RowId row) {
+  GOMFM_ASSIGN_OR_RETURN(const Row* r, Read(row));
+  MarkUsed(row);
+  return r;
+}
+
+Result<const Gmr::Row*> Gmr::Read(RowId row) const {
   if (row >= rows_.size() || !rows_[row].live) {
     return Status::NotFound("GMR '" + spec_.name + "': no such row");
   }
   GOMFM_RETURN_IF_ERROR(rows_store_.Touch(handles_[row]));
-  rows_[row].last_access = ++access_counter_;
   return &rows_[row];
 }
 
@@ -338,14 +341,15 @@ Status Gmr::EvictLru() {
   return Remove(victim);
 }
 
-void Gmr::ScanValidRange(size_t fn_idx, double lo, double hi,
-                         bool lo_inclusive, bool hi_inclusive,
-                         const std::function<bool(RowId, const Row&)>& cb) {
+void Gmr::ScanValidRange(
+    size_t fn_idx, double lo, double hi, bool lo_inclusive, bool hi_inclusive,
+    const ExecutionContext* ctx,
+    const std::function<bool(RowId, const Row&)>& cb) const {
   if (fn_idx >= result_indexes_.size() ||
       result_indexes_[fn_idx] == nullptr) {
     return;
   }
-  clock_->Advance(cost_.cpu_index_op_seconds);
+  ClockFor(ctx)->Advance(cost_.cpu_index_op_seconds);
   std::vector<RowId> hits;
   result_indexes_[fn_idx]->RangeScan(lo, hi, lo_inclusive, hi_inclusive,
                                      [&](double, uint64_t row) {
@@ -353,7 +357,7 @@ void Gmr::ScanValidRange(size_t fn_idx, double lo, double hi,
                                        return true;
                                      });
   for (RowId row : hits) {
-    auto got = Get(row);  // touches the row's pages
+    auto got = Read(row);  // touches the row's pages
     if (!got.ok()) continue;
     if (!cb(row, **got)) return;
   }

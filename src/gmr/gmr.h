@@ -144,12 +144,20 @@ class Gmr {
   /// when absent.
   Result<RowId> FindRow(const std::vector<Value>& args) const;
 
-  /// Reads a row, touching its pages.
+  /// Reads a row, touching its pages, and marks it most recently used.
   Result<const Row*> Get(RowId row);
 
-  /// Read-plane accessor for concurrent sessions: resolves `args` and reads
-  /// result column `fn_idx` without mutating any bookkeeping — no recency
-  /// bump, no insertion, no self-healing. kNotFound means no row for the
+  /// Read-only form of Get: touches the row's pages but leaves recency
+  /// alone, so it is safe under a shared `latch()`.
+  Result<const Row*> Read(RowId row) const;
+
+  /// Marks `row` most recently used (the bounded cache's LRU order).
+  /// Requires exclusive access.
+  void MarkUsed(RowId row) { rows_[row].last_access = ++access_counter_; }
+
+  /// The forward probe of the read path: resolves `args` and reads result
+  /// column `fn_idx` without mutating any bookkeeping — no recency bump,
+  /// no insertion, no self-healing. kNotFound means no row for the
   /// argument combination; an engaged optional is a valid cached result
   /// (copied out); nullopt means the row exists but the result is invalid.
   /// Pages are touched (disk time charges the shared global clock); CPU
@@ -201,10 +209,12 @@ class Gmr {
   Status Remove(RowId row);
 
   /// Ordered scan over *valid* results of column `fn_idx` within
-  /// [lo, hi] (backward range query). `cb` returns false to stop.
+  /// [lo, hi] (backward range query). `cb` returns false to stop. The
+  /// index probe charges `ctx`'s clock when supplied; rows are read with
+  /// Read(), so the scan is safe under a shared `latch()`.
   void ScanValidRange(size_t fn_idx, double lo, double hi, bool lo_inclusive,
-                      bool hi_inclusive,
-                      const std::function<bool(RowId, const Row&)>& cb);
+                      bool hi_inclusive, const ExecutionContext* ctx,
+                      const std::function<bool(RowId, const Row&)>& cb) const;
 
   /// Iterates all live rows (no storage touch — callers Get() what they
   /// read). Mutating the GMR during iteration is not allowed.
@@ -261,7 +271,10 @@ class Gmr {
   Status CheckWellFormed() const;
 
  private:
-  Status WriteBack(RowId row);
+  /// The session's clock when `ctx` carries one, else the global clock.
+  SimClock* ClockFor(const ExecutionContext* ctx) const {
+    return ctx != nullptr && ctx->clock != nullptr ? ctx->clock : clock_;
+  }
   Status IndexResult(RowId row, size_t fn_idx, const Value& v);
   Status UnindexResult(RowId row, size_t fn_idx, const Value& v);
   Status EvictLru();

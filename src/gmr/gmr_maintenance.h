@@ -99,7 +99,7 @@ class GmrMaintenance {
   /// RAII exclusive section: locks the catalog latch when concurrent mode
   /// is on and this is the outermost maintenance frame on the thread; a
   /// no-op in single-threaded owner runs. The read path wraps its
-  /// owner-mode (mutating) lookups in one as well.
+  /// writer (mutating) lookups in one as well.
   class ExclusiveRegion {
    public:
     explicit ExclusiveRegion(GmrMaintenance* m) : m_(m) {

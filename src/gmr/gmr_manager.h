@@ -21,7 +21,8 @@ namespace gom {
 ///  * `GmrCatalog`    — the registry: extensions, column/predicate
 ///    directories, reverse-reference relation, dependency tables.
 ///  * `GmrReadPath`   — retrieval (§3.2): forward lookups and backward
-///    range queries; shared-latch only in concurrent mode.
+///    range queries; shared latches for readers, in-place repair for
+///    writers.
 ///  * `GmrMaintenance`— invalidation / rematerialization (§4),
 ///    compensating actions (§5.4), predicate maintenance (§6.1), batched
 ///    maintenance and write-ahead intents; exclusive over what it touches.
@@ -86,9 +87,6 @@ class GmrManager final : public ShardDirectory {
   /// the spec (GmrIds stay global) and populates only the combinations it
   /// owns.
   Result<GmrId> Materialize(GmrSpec spec) {
-    if (shards_ <= 1) {
-      return planes_[0]->maintenance.Materialize(std::move(spec));
-    }
     GOMFM_ASSIGN_OR_RETURN(GmrId id,
                            planes_[0]->maintenance.Materialize(spec));
     for (size_t s = 1; s < shards_; ++s) {
@@ -243,7 +241,7 @@ class GmrManager final : public ShardDirectory {
     return ForwardLookup(nullptr, f, std::move(args));
   }
 
-  /// Context-carrying variant: with `ctx->concurrent` the lookup runs
+  /// Context-carrying variant: a non-null `ctx` makes the lookup a reader,
   /// read-only under shared latches (see GmrReadPath).
   Result<Value> ForwardLookup(const ExecutionContext* ctx, FunctionId f,
                               std::vector<Value> args) {
@@ -265,10 +263,6 @@ class GmrManager final : public ShardDirectory {
   Result<std::vector<std::vector<Value>>> BackwardRange(
       const ExecutionContext* ctx, FunctionId f, double lo, double hi,
       bool lo_inclusive, bool hi_inclusive) {
-    if (shards_ <= 1) {
-      return planes_[0]->read_path.BackwardRange(ctx, f, lo, hi, lo_inclusive,
-                                                 hi_inclusive);
-    }
     std::vector<std::vector<Value>> merged;
     for (auto& p : planes_) {
       GOMFM_ASSIGN_OR_RETURN(
@@ -457,7 +451,7 @@ class GmrManager final : public ShardDirectory {
           const GmrManagerOptions& options)
         : catalog(om, registry, storage, options.second_chance_rrr),
           maintenance(om, interp, registry, &catalog, &stats, options),
-          read_path(om, interp, &catalog, &maintenance, &stats) {}
+          read_path(interp, &catalog, &maintenance, &stats) {}
     GmrStats stats;
     GmrCatalog catalog;
     GmrMaintenance maintenance;
@@ -473,9 +467,6 @@ class GmrManager final : public ShardDirectory {
   /// specs through this (in the original order, so GmrIds in the log stay
   /// meaningful) and then replays the extension from the log instead.
   Result<GmrId> RegisterGmr(GmrSpec spec) {
-    if (shards_ <= 1) {
-      return planes_[0]->maintenance.RegisterGmr(std::move(spec));
-    }
     GOMFM_ASSIGN_OR_RETURN(GmrId id,
                            planes_[0]->maintenance.RegisterGmr(spec));
     for (size_t s = 1; s < shards_; ++s) {

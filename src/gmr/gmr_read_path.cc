@@ -2,28 +2,11 @@
 
 #include <chrono>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <thread>
 
 namespace gom {
-
-Result<Value> GmrReadPath::ForwardLookup(const ExecutionContext* ctx,
-                                         FunctionId f,
-                                         std::vector<Value> args) {
-  if (ctx != nullptr && ctx->concurrent) {
-    return ConcurrentForward(ctx, f, std::move(args));
-  }
-  return OwnerForward(f, std::move(args));
-}
-
-Result<std::vector<std::vector<Value>>> GmrReadPath::BackwardRange(
-    const ExecutionContext* ctx, FunctionId f, double lo, double hi,
-    bool lo_inclusive, bool hi_inclusive) {
-  if (ctx != nullptr && ctx->concurrent) {
-    return ConcurrentBackward(ctx, f, lo, hi, lo_inclusive, hi_inclusive);
-  }
-  return OwnerBackward(f, lo, hi, lo_inclusive, hi_inclusive);
-}
 
 bool GmrReadPath::IsMaterializedShared(FunctionId f) const {
   if (catalog_->concurrent_mode()) {
@@ -38,107 +21,6 @@ void GmrReadPath::MaybeStall() const {
   if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
 }
 
-// --- Owner mode ---------------------------------------------------------------
-
-Result<Value> GmrReadPath::OwnerForward(FunctionId f,
-                                        std::vector<Value> args) {
-  GmrMaintenance::ExclusiveRegion region(maintenance_);
-  auto loc = catalog_->Locate(f);
-  if (!loc.ok()) {
-    // Not materialized: plain evaluation.
-    return interp_->Invoke(f, std::move(args));
-  }
-  GOMFM_ASSIGN_OR_RETURN(Gmr * gmr, catalog_->Get(loc->first));
-  size_t col = loc->second;
-  auto row = gmr->FindRow(args);
-  if (row.ok()) {
-    gmr->RecordAccess(*row);
-    GOMFM_ASSIGN_OR_RETURN(const Gmr::Row* r, gmr->Get(*row));
-    if (r->valid[col]) {
-      ++stats_->forward_hits;
-      return r->results[col];
-    }
-    // Invalid: recompute at the latest when the result is needed (§3.1).
-    ++stats_->forward_invalid;
-    funclang::Trace trace;
-    gmr->maint_counters().rematerializations.fetch_add(
-        1, std::memory_order_relaxed);
-    GOMFM_ASSIGN_OR_RETURN(Value result,
-                           maintenance_->ComputeTracked(f, args, &trace));
-    GOMFM_RETURN_IF_ERROR(maintenance_->LogRemat(gmr->id(), col, args, result,
-                                                 trace.accessed_objects));
-    GOMFM_RETURN_IF_ERROR(gmr->SetResult(*row, col, result));
-    GOMFM_RETURN_IF_ERROR(maintenance_->RecordReverseRefs(f, args, trace));
-    return result;
-  }
-  ++stats_->forward_misses;
-  const GmrSpec& spec = gmr->spec();
-  // Outside a restricted domain (or not yet cached): compute normally.
-  bool in_domain = true;
-  for (size_t i = 0; i < args.size() && i < spec.arg_restrictions.size();
-       ++i) {
-    auto admitted = spec.arg_restrictions[i].Admits(args[i]);
-    if (!admitted.ok() || !*admitted) {
-      in_domain = false;
-      break;
-    }
-  }
-  if (!in_domain || spec.complete) {
-    // For complete restricted GMRs, a missing row means the predicate
-    // rejected the combination — evaluate the plain function.
-    if (spec.complete && spec.predicate == kInvalidFunctionId && in_domain) {
-      // Self-heal a complete unrestricted GMR that is missing a row.
-      GOMFM_RETURN_IF_ERROR(maintenance_->AdmitCombo(gmr, args));
-      return OwnerForward(f, std::move(args));
-    }
-    return interp_->Invoke(f, std::move(args));
-  }
-  // Incrementally set-up GMR: cache the freshly computed result (§3.2).
-  if (spec.predicate != kInvalidFunctionId) {
-    funclang::Trace ptrace;
-    GOMFM_ASSIGN_OR_RETURN(
-        Value p, maintenance_->ComputeTracked(spec.predicate, args, &ptrace));
-    GOMFM_RETURN_IF_ERROR(
-        maintenance_->RecordReverseRefs(spec.predicate, args, ptrace));
-    GOMFM_ASSIGN_OR_RETURN(bool admitted, p.AsBool());
-    if (!admitted) return interp_->Invoke(f, std::move(args));
-  }
-  GOMFM_ASSIGN_OR_RETURN(RowId new_row, gmr->Insert(args));
-  ++stats_->rows_created;
-  funclang::Trace trace;
-  GOMFM_ASSIGN_OR_RETURN(Value result,
-                         maintenance_->ComputeTracked(f, args, &trace));
-  GOMFM_RETURN_IF_ERROR(maintenance_->LogRemat(gmr->id(), col, args, result,
-                                               trace.accessed_objects));
-  GOMFM_RETURN_IF_ERROR(gmr->SetResult(new_row, col, result));
-  GOMFM_RETURN_IF_ERROR(maintenance_->RecordReverseRefs(f, args, trace));
-  return result;
-}
-
-Result<std::vector<std::vector<Value>>> GmrReadPath::OwnerBackward(
-    FunctionId f, double lo, double hi, bool lo_inclusive,
-    bool hi_inclusive) {
-  GmrMaintenance::ExclusiveRegion region(maintenance_);
-  GOMFM_ASSIGN_OR_RETURN(auto loc, catalog_->Locate(f));
-  GOMFM_ASSIGN_OR_RETURN(Gmr * gmr, catalog_->Get(loc.first));
-  if (!gmr->spec().complete) {
-    return Status::FailedPrecondition(
-        "backward query needs a complete GMR extension");
-  }
-  ++stats_->backward_queries;
-  // All results of the column must be valid for the answer to be correct.
-  GOMFM_RETURN_IF_ERROR(maintenance_->EnsureColumnValid(f));
-  std::vector<std::vector<Value>> out;
-  gmr->ScanValidRange(loc.second, lo, hi, lo_inclusive, hi_inclusive,
-                      [&](RowId, const Gmr::Row& row) {
-                        out.push_back(row.args);
-                        return true;
-                      });
-  return out;
-}
-
-// --- Concurrent mode ----------------------------------------------------------
-
 Result<Value> GmrReadPath::PlainEval(const ExecutionContext* ctx,
                                      FunctionId f, std::vector<Value> args) {
   ++ctx->compute_depth;
@@ -148,83 +30,149 @@ Result<Value> GmrReadPath::PlainEval(const ExecutionContext* ctx,
   return result;
 }
 
-Result<Value> GmrReadPath::ConcurrentForward(const ExecutionContext* ctx,
-                                             FunctionId f,
-                                             std::vector<Value> args) {
-  enum class Probe { kUnmaterialized, kInvalid, kMiss };
-  Probe probe = Probe::kUnmaterialized;
-  {
-    std::shared_lock<std::shared_mutex> cat(catalog_->latch());
-    auto loc = catalog_->Locate(f);
-    if (loc.ok()) {
-      GOMFM_ASSIGN_OR_RETURN(Gmr * gmr, catalog_->Get(loc->first));
-      std::shared_lock<std::shared_mutex> ext(gmr->latch());
-      MaybeStall();
-      RowId accessed = kInvalidRowId;
-      auto cached = gmr->ReadResult(args, loc->second, ctx, &accessed);
-      if (accessed != kInvalidRowId) gmr->RecordAccess(accessed);
-      if (cached.ok()) {
-        if (cached->has_value()) {
-          ++stats_->forward_hits;
-          return **cached;
-        }
-        probe = Probe::kInvalid;
-      } else if (cached.status().code() == StatusCode::kNotFound) {
-        probe = Probe::kMiss;
-      } else {
-        return cached.status();
-      }
-    }
+Result<Value> GmrReadPath::ForwardLookup(const ExecutionContext* ctx,
+                                         FunctionId f,
+                                         std::vector<Value> args) {
+  const bool writer = ctx == nullptr;
+  std::optional<GmrMaintenance::ExclusiveRegion> region;
+  std::shared_lock<std::shared_mutex> cat, ext;
+  if (writer) {
+    region.emplace(maintenance_);
+  } else {
+    cat = std::shared_lock<std::shared_mutex>(catalog_->latch());
   }
-  // Not answerable from the extension. The owner path would repair the GMR
-  // here; a concurrent reader instead computes transiently — the repair is
-  // the maintenance plane's job and will happen on the writer thread.
-  if (probe == Probe::kInvalid) {
+  auto loc = catalog_->Locate(f);
+  if (!loc.ok()) {
+    // Not materialized: plain evaluation.
+    if (writer) return interp_->Invoke(f, std::move(args));
+    cat.unlock();
+    return PlainEval(ctx, f, std::move(args));
+  }
+  GOMFM_ASSIGN_OR_RETURN(Gmr * gmr, catalog_->Get(loc->first));
+  size_t col = loc->second;
+  if (!writer) {
+    ext = std::shared_lock<std::shared_mutex>(gmr->latch());
+    MaybeStall();
+  }
+  RowId row = kInvalidRowId;
+  auto cached = gmr->ReadResult(args, col, ctx, &row);
+  if (row != kInvalidRowId) {
+    gmr->RecordAccess(row);
+    if (writer) gmr->MarkUsed(row);
+  }
+  if (!cached.ok() && cached.status().code() != StatusCode::kNotFound) {
+    return cached.status();
+  }
+  const bool found = cached.ok();
+  if (found && cached->has_value()) {
+    ++stats_->forward_hits;
+    return std::move(**cached);
+  }
+  if (found) {
     ++stats_->forward_invalid;
-  } else if (probe == Probe::kMiss) {
+  } else {
     ++stats_->forward_misses;
   }
-  return PlainEval(ctx, f, std::move(args));
+  if (!writer) {
+    // A reader never writes the extension: the repair below is left to
+    // the writer, and the value is computed transiently.
+    ext.unlock();
+    cat.unlock();
+    return PlainEval(ctx, f, std::move(args));
+  }
+
+  const GmrSpec& spec = gmr->spec();
+  if (found) {
+    // Invalid result: recompute at the latest when it is needed (§3.1).
+    gmr->maint_counters().rematerializations.fetch_add(
+        1, std::memory_order_relaxed);
+  } else {
+    // Outside a restricted domain (or not yet cached): compute normally.
+    bool in_domain = true;
+    for (size_t i = 0; i < args.size() && i < spec.arg_restrictions.size();
+         ++i) {
+      auto admitted = spec.arg_restrictions[i].Admits(args[i]);
+      if (!admitted.ok() || !*admitted) {
+        in_domain = false;
+        break;
+      }
+    }
+    if (!in_domain || spec.complete) {
+      // For complete restricted GMRs, a missing row means the predicate
+      // rejected the combination — evaluate the plain function.
+      if (spec.complete && spec.predicate == kInvalidFunctionId && in_domain) {
+        // Self-heal a complete unrestricted GMR that is missing a row.
+        GOMFM_RETURN_IF_ERROR(maintenance_->AdmitCombo(gmr, args));
+        return ForwardLookup(nullptr, f, std::move(args));
+      }
+      return interp_->Invoke(f, std::move(args));
+    }
+    // Incrementally set-up GMR: cache the freshly computed result (§3.2).
+    if (spec.predicate != kInvalidFunctionId) {
+      funclang::Trace ptrace;
+      GOMFM_ASSIGN_OR_RETURN(
+          Value p, maintenance_->ComputeTracked(spec.predicate, args, &ptrace));
+      GOMFM_RETURN_IF_ERROR(
+          maintenance_->RecordReverseRefs(spec.predicate, args, ptrace));
+      GOMFM_ASSIGN_OR_RETURN(bool admitted, p.AsBool());
+      if (!admitted) return interp_->Invoke(f, std::move(args));
+    }
+    GOMFM_ASSIGN_OR_RETURN(row, gmr->Insert(args));
+    ++stats_->rows_created;
+  }
+  funclang::Trace trace;
+  GOMFM_ASSIGN_OR_RETURN(Value result,
+                         maintenance_->ComputeTracked(f, args, &trace));
+  GOMFM_RETURN_IF_ERROR(maintenance_->LogRemat(gmr->id(), col, args, result,
+                                               trace.accessed_objects));
+  GOMFM_RETURN_IF_ERROR(gmr->SetResult(row, col, result));
+  GOMFM_RETURN_IF_ERROR(maintenance_->RecordReverseRefs(f, args, trace));
+  return result;
 }
 
-Result<std::vector<std::vector<Value>>> GmrReadPath::ConcurrentBackward(
+Result<std::vector<std::vector<Value>>> GmrReadPath::BackwardRange(
     const ExecutionContext* ctx, FunctionId f, double lo, double hi,
     bool lo_inclusive, bool hi_inclusive) {
-  auto in_range = [&](double d) {
-    return (lo_inclusive ? d >= lo : d > lo) &&
-           (hi_inclusive ? d <= hi : d < hi);
-  };
-  std::vector<std::vector<Value>> out;
-  std::vector<std::vector<Value>> pending;  // invalid rows: compute after
-  {
-    std::shared_lock<std::shared_mutex> cat(catalog_->latch());
-    GOMFM_ASSIGN_OR_RETURN(auto loc, catalog_->Locate(f));
-    GOMFM_ASSIGN_OR_RETURN(Gmr * gmr, catalog_->Get(loc.first));
-    if (!gmr->spec().complete) {
-      return Status::FailedPrecondition(
-          "backward query needs a complete GMR extension");
-    }
-    ++stats_->backward_queries;
-    size_t col = loc.second;
-    std::shared_lock<std::shared_mutex> ext(gmr->latch());
-    MaybeStall();
-    if (ctx->clock != nullptr) {
-      ctx->clock->Advance(CostModel::Default().cpu_index_op_seconds);
-    }
-    gmr->ForEachRow([&](RowId, const Gmr::Row& row) {
-      if (row.valid[col]) {
-        const Value& v = row.results[col];
-        if (v.is_numeric() && in_range(*v.AsDouble())) {
-          out.push_back(row.args);
-        }
-      } else {
-        pending.push_back(row.args);
-      }
-      return true;
-    });
+  const bool writer = ctx == nullptr;
+  std::optional<GmrMaintenance::ExclusiveRegion> region;
+  std::shared_lock<std::shared_mutex> cat, ext;
+  if (writer) {
+    region.emplace(maintenance_);
+  } else {
+    cat = std::shared_lock<std::shared_mutex>(catalog_->latch());
   }
-  // Invalid rows are resolved outside the latches: values the owner path
-  // would have written back are computed transiently instead.
+  GOMFM_ASSIGN_OR_RETURN(auto loc, catalog_->Locate(f));
+  GOMFM_ASSIGN_OR_RETURN(Gmr * gmr, catalog_->Get(loc.first));
+  if (!gmr->spec().complete) {
+    return Status::FailedPrecondition(
+        "backward query needs a complete GMR extension");
+  }
+  ++stats_->backward_queries;
+  size_t col = loc.second;
+  // The index holds valid results only, so every invalid result of the
+  // column must be resolved for the answer to be correct: a writer
+  // recomputes them in place first, a reader computes them transiently
+  // after the scan.
+  std::vector<std::vector<Value>> pending;
+  if (writer) {
+    GOMFM_RETURN_IF_ERROR(maintenance_->EnsureColumnValid(f));
+  } else {
+    ext = std::shared_lock<std::shared_mutex>(gmr->latch());
+    MaybeStall();
+    for (RowId row : gmr->InvalidRows(col)) {
+      GOMFM_ASSIGN_OR_RETURN(const Gmr::Row* r, gmr->Read(row));
+      pending.push_back(r->args);
+    }
+  }
+  std::vector<std::vector<Value>> out;
+  gmr->ScanValidRange(col, lo, hi, lo_inclusive, hi_inclusive, ctx,
+                      [&](RowId, const Gmr::Row& row) {
+                        out.push_back(row.args);
+                        return true;
+                      });
+  if (writer) return out;
+  ext.unlock();
+  cat.unlock();
   for (std::vector<Value>& args : pending) {
     auto result = PlainEval(ctx, f, std::vector<Value>(args));
     if (!result.ok()) {
@@ -233,7 +181,10 @@ Result<std::vector<std::vector<Value>>> GmrReadPath::ConcurrentBackward(
       }
       return result.status();
     }
-    if (result->is_numeric() && in_range(*result->AsDouble())) {
+    if (!result->is_numeric()) continue;
+    double d = *result->AsDouble();
+    if ((lo_inclusive ? d >= lo : d > lo) &&
+        (hi_inclusive ? d <= hi : d < hi)) {
       out.push_back(std::move(args));
     }
   }

@@ -14,31 +14,31 @@ namespace gom {
 /// The retrieval plane of the GMR machinery: forward lookups (function call
 /// interception, §3) and backward range queries (§5.2 inverted access).
 ///
-/// Two regimes, selected per call by the execution context:
+/// One routine per query. Write authority decides what a call may do with
+/// what it finds, and it is `ctx == nullptr`: the owner thread, or a writer
+/// holding the session pool's writer gate.
 ///
-///  * Owner mode (`ctx == nullptr` or `!ctx->concurrent`): the exact
-///    pre-split logic, including all of its repair side effects — invalid
+///  * A writer runs under the maintenance plane's ExclusiveRegion (a no-op
+///    until concurrent mode is switched on) and repairs in place: invalid
 ///    results are recomputed and stored back, missing rows of incremental
-///    GMRs are inserted, complete GMRs self-heal. These mutations delegate
-///    to the maintenance plane under its ExclusiveRegion (a no-op until
-///    concurrent mode is switched on), so the simulated-time figures stay
-///    bit-identical.
+///    GMRs are inserted, complete GMRs self-heal, and a backward query
+///    first revalidates the whole column. Its clock charges, stats and WAL
+///    records are the single-threaded ones, so the simulated-time figures
+///    stay bit-identical.
 ///
-///  * Concurrent mode (`ctx->concurrent`): strictly read-only against the
-///    shared state. The session holds the catalog latch shared, nests the
-///    extension latch shared, and copies the cached value out. Anything
-///    the owner path would repair in place (invalid result, missing row)
-///    is instead computed transiently on the session's private clock — the
-///    extension is never written, so any number of readers can overlap one
-///    another and only ever see values the single-threaded execution could
-///    have produced.
+///  * A reader (a session context) holds the catalog latch shared, nests
+///    the extension latch shared, and copies values out. Whatever a writer
+///    would repair is instead computed transiently on the session's
+///    private clock, so the extension is never written and readers only
+///    ever see values the single-threaded execution could have produced.
+///
+/// Both probe the extension the same way: forward through the argument
+/// hash index, backward through the result column's ordered index.
 class GmrReadPath {
  public:
-  GmrReadPath(ObjectManager* om, funclang::Interpreter* interp,
-              GmrCatalog* catalog, GmrMaintenance* maintenance,
-              GmrStats* stats)
-      : om_(om),
-        interp_(interp),
+  GmrReadPath(funclang::Interpreter* interp, GmrCatalog* catalog,
+              GmrMaintenance* maintenance, GmrStats* stats)
+      : interp_(interp),
         catalog_(catalog),
         maintenance_(maintenance),
         stats_(stats) {}
@@ -62,31 +62,17 @@ class GmrReadPath {
   /// recursive).
   bool IsMaterializedShared(FunctionId f) const;
 
-  /// Simulated page-fault latency for concurrent lookups: each lookup
+  /// Simulated page-fault latency for reader lookups: each lookup
   /// sleeps this long *while holding the extension latch shared*. Models
   /// the paper's I/O-dominated regime, where throughput scaling comes from
   /// readers overlapping their page faults — possible under shared
-  /// latches, impossible under an exclusive lock. Owner-mode lookups never
-  /// stall (wall-clock time is simulated there).
+  /// latches, impossible under an exclusive lock. Writers never stall
+  /// (wall-clock time is simulated there).
   void set_io_stall_us(int us) {
     io_stall_us_.store(us, std::memory_order_relaxed);
   }
 
  private:
-  /// Pre-split lookup logic, verbatim; runs under the maintenance plane's
-  /// ExclusiveRegion.
-  Result<Value> OwnerForward(FunctionId f, std::vector<Value> args);
-  Result<std::vector<std::vector<Value>>> OwnerBackward(FunctionId f,
-                                                        double lo, double hi,
-                                                        bool lo_inclusive,
-                                                        bool hi_inclusive);
-
-  Result<Value> ConcurrentForward(const ExecutionContext* ctx, FunctionId f,
-                                  std::vector<Value> args);
-  Result<std::vector<std::vector<Value>>> ConcurrentBackward(
-      const ExecutionContext* ctx, FunctionId f, double lo, double hi,
-      bool lo_inclusive, bool hi_inclusive);
-
   /// Evaluates f(args) without touching any GMR: the context's
   /// compute_depth is bumped around the call so nested interception stays
   /// off (re-entering the read path would re-acquire latches this thread
@@ -96,7 +82,6 @@ class GmrReadPath {
 
   void MaybeStall() const;
 
-  ObjectManager* om_;
   funclang::Interpreter* interp_;
   GmrCatalog* catalog_;
   GmrMaintenance* maintenance_;

@@ -358,7 +358,7 @@ Result<QueryRows> Planner::Execute(const Plan& plan) {
     rec(0);
   } else {
     GOMFM_ASSIGN_OR_RETURN(
-        candidates, mgr_->BackwardRange(alt.function, alt.lo, alt.hi,
+        candidates, mgr_->BackwardRange(ctx_, alt.function, alt.lo, alt.hi,
                                         alt.lo_inclusive, alt.hi_inclusive));
   }
 
@@ -373,13 +373,15 @@ Result<QueryRows> Planner::Execute(const Plan& plan) {
     }
     if (alt.residual != nullptr) {
       GOMFM_ASSIGN_OR_RETURN(Value pass,
-                             interp_->Evaluate(*alt.residual, bindings));
+                             interp_->Evaluate(*alt.residual, bindings,
+                                               nullptr, ctx_));
       GOMFM_ASSIGN_OR_RETURN(bool ok, pass.AsBool());
       if (!ok) continue;
     }
     std::vector<Value> row;
     for (const fl::ExprPtr& target : query.targets) {
-      GOMFM_ASSIGN_OR_RETURN(Value v, interp_->Evaluate(*target, bindings));
+      GOMFM_ASSIGN_OR_RETURN(
+          Value v, interp_->Evaluate(*target, bindings, nullptr, ctx_));
       row.push_back(std::move(v));
     }
     rows.push_back(std::move(row));

@@ -53,11 +53,16 @@ using QueryRows = std::vector<std::vector<Value>>;
 /// recomputing them. It supports single-range-variable retrieve queries
 /// (plan + execute) and materialize statements (including p-restricted
 /// materialization compiled from the where-clause).
+///
+/// `ctx` is the execution context retrieve plans run under: a session's
+/// context makes them readers of the GMRs (see GmrReadPath), null gives
+/// them write authority. Materialize statements need write authority.
 class Planner {
  public:
   Planner(ObjectManager* om, funclang::Interpreter* interp, GmrManager* mgr,
-          funclang::FunctionRegistry* registry)
-      : om_(om), interp_(interp), mgr_(mgr), registry_(registry) {}
+          funclang::FunctionRegistry* registry,
+          const ExecutionContext* ctx = nullptr)
+      : om_(om), interp_(interp), mgr_(mgr), registry_(registry), ctx_(ctx) {}
 
   /// Enumerates and costs the alternatives for a retrieve query.
   Result<Plan> PlanRetrieve(const ParsedQuery& query);
@@ -89,6 +94,7 @@ class Planner {
   funclang::Interpreter* interp_;
   GmrManager* mgr_;
   funclang::FunctionRegistry* registry_;
+  const ExecutionContext* ctx_;
 };
 
 }  // namespace gom::gomql

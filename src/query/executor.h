@@ -28,7 +28,7 @@ class QueryExecutor {
 
   /// Backward query: the qualifying argument objects. Falls back to an
   /// extension scan when the function is not materialized (or GMR use is
-  /// disabled). With a concurrent `ctx` the GMR path runs read-only under
+  /// disabled). With a session `ctx` the GMR path runs read-only under
   /// shared latches and charges the session's clock.
   Result<std::vector<Oid>> RunBackward(const BackwardQuery& q,
                                        const ExecutionContext* ctx = nullptr);

@@ -153,7 +153,7 @@ Result<server::RowSet> ReplicaCore::BackwardRead(FunctionId f, double lo,
   }
   server::RowSet out;
   gmr->ScanValidRange(loc.second, lo, hi, lo_inclusive, hi_inclusive,
-                      [&](RowId, const Gmr::Row& row) {
+                      nullptr, [&](RowId, const Gmr::Row& row) {
                         out.push_back(row.args);
                         return true;
                       });

@@ -159,8 +159,13 @@ void Server::Stop() {
 
   // Phase 2: with admission over, the workers drain the queue and exit.
   // Every admitted request still executes and gets its response written
-  // (directly or into the connection's write buffer).
-  workers_quit_.store(true);
+  // (directly or into the connection's write buffer). The flag is set
+  // under the queue mutex: a worker between its predicate check and its
+  // wait would otherwise miss the notification and never wake.
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    workers_quit_.store(true);
+  }
   queue_cv_.notify_all();
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();

@@ -70,10 +70,10 @@ struct ServerOptions {
 ///
 /// Each connection draws a Session from the environment's SessionPool on
 /// accept and releases it for reuse when the connection ends. Forward and
-/// backward queries run on the concurrent shared-latch read path; GOMql
-/// statements serialize through the pool's writer-exclusive gate
-/// (Session::RunGomql), so server traffic composes with in-process update
-/// storms exactly like PR 3's reader sessions do.
+/// backward queries, GOMql retrieves and EXPLAINs are readers on the
+/// shared-latch read path; only GOMql materialize statements take the
+/// pool's writer-exclusive gate (Session::RunGomql), so server traffic
+/// composes with in-process update storms exactly like reader sessions do.
 ///
 /// Requests of one connection may be admitted concurrently (pipelining, up
 /// to the per-connection cap) but *execute* serially in admission order —

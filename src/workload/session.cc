@@ -11,7 +11,6 @@ Session::Session(Environment* env, SessionPool* pool, uint32_t id)
   ctx_.clock = &clock_;
   ctx_.stats = &stats_;
   ctx_.session_id = id_;
-  ctx_.concurrent = true;
 }
 
 Result<Value> Session::ForwardQuery(FunctionId f, std::vector<Value> args) {
@@ -31,17 +30,28 @@ Result<std::vector<std::vector<Value>>> Session::BackwardQuery(
 
 Result<std::vector<std::vector<Value>>> Session::RunGomql(
     const std::string& text) {
-  SessionPool::WriterLock gate(pool_);
   ++stats_.gomql_queries;
-  gomql::Parser parser(&env_->schema, &env_->registry);
-  GOMFM_ASSIGN_OR_RETURN(gomql::ParsedQuery query, parser.Parse(text));
+  gomql::ParsedQuery query;
+  {
+    SessionPool::ReaderLock gate(pool_);
+    gomql::Parser parser(&env_->schema, &env_->registry);
+    GOMFM_ASSIGN_OR_RETURN(query, parser.Parse(text));
+    if (query.kind == gomql::ParsedQuery::Kind::kRetrieve) {
+      gomql::Planner planner(&env_->om, &env_->interp, &env_->mgr,
+                             &env_->registry, &ctx_);
+      return planner.Run(query);
+    }
+  }
+  // Materialize mutates the catalog and the registry: writer gate, and
+  // write authority (null context) for the planner.
+  SessionPool::WriterLock gate(pool_);
   gomql::Planner planner(&env_->om, &env_->interp, &env_->mgr,
                          &env_->registry);
   return planner.Run(query);
 }
 
 Result<std::string> Session::ExplainGomql(const std::string& text) {
-  SessionPool::WriterLock gate(pool_);
+  SessionPool::ReaderLock gate(pool_);
   ++stats_.gomql_queries;
   gomql::Parser parser(&env_->schema, &env_->registry);
   GOMFM_ASSIGN_OR_RETURN(gomql::ParsedQuery query, parser.Parse(text));
@@ -49,7 +59,7 @@ Result<std::string> Session::ExplainGomql(const std::string& text) {
     return Status::InvalidArgument("EXPLAIN supports retrieve queries only");
   }
   gomql::Planner planner(&env_->om, &env_->interp, &env_->mgr,
-                         &env_->registry);
+                         &env_->registry, &ctx_);
   GOMFM_ASSIGN_OR_RETURN(gomql::Plan plan, planner.PlanRetrieve(query));
   return plan.Explain(&env_->registry);
 }
@@ -64,7 +74,7 @@ Result<Value> Session::RunOperation(FunctionId op, std::vector<Value> args) {
   }
   SessionPool::WriterLock gate(pool_);
   ++stats_.update_ops;
-  // Owner-mode invoke (no concurrent ctx): the exclusive gate makes this
+  // Invoked without the session's context: the exclusive gate makes this
   // thread the writer, so in-place repairs during invalidation are safe.
   return env_->interp.Invoke(op, std::move(args));
 }

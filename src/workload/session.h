@@ -36,24 +36,22 @@ class Session {
       FunctionId f, double lo, double hi, bool lo_inclusive = true,
       bool hi_inclusive = true);
 
-  /// Parses and runs one GOMql statement (retrieve or materialize).
-  /// GOMql statements take the gates *exclusively*: materialize mutates the
-  /// catalog, and retrieve plans execute through the owner-mode read path,
-  /// whose in-place repairs (lazy rematerialization, self-healing rows)
-  /// must not overlap shared-latch readers. Text queries therefore
-  /// serialize against both reader sessions and update storms — the
-  /// fast-path Forward/BackwardQuery above stay fully concurrent.
+  /// Parses and runs one GOMql statement (retrieve or materialize). A
+  /// retrieve is a reader: it takes the gates shared and runs under the
+  /// session's context, so its GMR probes never write the extension and it
+  /// overlaps other readers like Forward/BackwardQuery. Materialize mutates
+  /// the catalog, so it takes the gates *exclusively*.
   Result<std::vector<std::vector<Value>>> RunGomql(const std::string& text);
 
   /// Plans a retrieve statement and renders the §8 EXPLAIN text (all
-  /// alternatives with costs, the chosen one starred). Also exclusive:
-  /// costing inspects live extension state.
+  /// alternatives with costs, the chosen one starred). A reader, like a
+  /// retrieve.
   Result<std::string> ExplainGomql(const std::string& text);
 
   /// Invokes an update operation op(args) — a registered function that is
   /// not side-effect-free. Takes the gates *exclusively* (it is a one-call
   /// update storm): the operation mutates objects, and the invalidation /
-  /// rematerialization it triggers runs on this thread in owner mode. (All
+  /// rematerialization it triggers runs on this thread as the writer. (All
   /// gates, not one shard's — a general operation may touch objects of any
   /// shard.) Side-effect-free functions are rejected — reads go through
   /// ForwardQuery, which stays concurrent.

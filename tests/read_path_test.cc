@@ -1,8 +1,9 @@
 // Unit tests for GmrReadPath against a hand-built component stack: a
 // GmrCatalog populated through the maintenance plane, no notifier and no
-// update traffic. Exercises both regimes — the owner path's repair side
-// effects and the concurrent path's strictly read-only probes (hit,
-// invalid row, missing row, unmaterialized function, backward ranges).
+// update traffic. Exercises both kinds of caller — a writer's (null
+// context) repair side effects and a reader's strictly read-only probes
+// (hit, invalid row, missing row, unmaterialized function, backward
+// ranges).
 
 #include <gtest/gtest.h>
 
@@ -30,7 +31,7 @@ struct Rig {
         interp(&om, &registry),
         catalog(&om, &registry, &storage, /*second_chance_rrr=*/false),
         maint(&om, &interp, &registry, &catalog, &stats, GmrManagerOptions{}),
-        read_path(&om, &interp, &catalog, &maint, &stats) {
+        read_path(&interp, &catalog, &maint, &stats) {
     geo = *workload::CuboidSchema::Declare(&schema, &registry);
     iron = *geo.MakeMaterial(&om, "Iron", 7.86);
     c1 = *geo.MakeCuboid(&om, 10, 6, 5, iron);  // volume 300
@@ -64,13 +65,12 @@ struct Rig {
   Oid iron, c1, c2, c3;
 };
 
-/// A session-style context: private clock and stats, concurrent flag on.
-struct ConcurrentCtx {
-  ConcurrentCtx() {
+/// A session-style reader context: private clock and stats.
+struct ReaderCtx {
+  ReaderCtx() {
     ctx.clock = &clock;
     ctx.stats = &stats;
     ctx.session_id = 1;
-    ctx.concurrent = true;
   }
   SimClock clock;
   SessionStats stats;
@@ -80,7 +80,7 @@ struct ConcurrentCtx {
 TEST(ReadPathTest, ConcurrentHitReturnsCachedValue) {
   Rig rig;
   GmrId id = rig.MaterializeVolume();
-  ConcurrentCtx session;
+  ReaderCtx session;
 
   auto v = rig.read_path.ForwardLookup(&session.ctx, rig.geo.volume,
                                        {Value::Ref(rig.c1)});
@@ -100,7 +100,7 @@ TEST(ReadPathTest, ConcurrentInvalidRowComputesTransiently) {
   Rig rig;
   GmrId id = rig.MaterializeVolume();
   ASSERT_TRUE(rig.maint.InvalidateAllResults(id).ok());
-  ConcurrentCtx session;
+  ReaderCtx session;
 
   auto v = rig.read_path.ForwardLookup(&session.ctx, rig.geo.volume,
                                        {Value::Ref(rig.c1)});
@@ -122,7 +122,7 @@ TEST(ReadPathTest, ConcurrentMissingRowComputesTransiently) {
   // A cuboid born after materialization: with no notifier installed the
   // extension never hears about it.
   Oid c4 = *rig.geo.MakeCuboid(&rig.om, 2, 3, 4, rig.iron);  // volume 24
-  ConcurrentCtx session;
+  ReaderCtx session;
 
   auto v = rig.read_path.ForwardLookup(&session.ctx, rig.geo.volume,
                                        {Value::Ref(c4)});
@@ -131,7 +131,7 @@ TEST(ReadPathTest, ConcurrentMissingRowComputesTransiently) {
   EXPECT_EQ(rig.stats.forward_misses, 1u);
   EXPECT_EQ(session.stats.plain_evaluations, 1u);
 
-  // Unlike the owner path, no row was inserted.
+  // Unlike a writer, the reader inserted no row.
   Gmr* gmr = *rig.catalog.Get(id);
   EXPECT_EQ(gmr->live_rows(), 3u);
   EXPECT_FALSE(gmr->FindRow({Value::Ref(c4)}).ok());
@@ -140,7 +140,7 @@ TEST(ReadPathTest, ConcurrentMissingRowComputesTransiently) {
 TEST(ReadPathTest, ConcurrentUnmaterializedFunctionFallsThrough) {
   Rig rig;
   rig.MaterializeVolume();
-  ConcurrentCtx session;
+  ReaderCtx session;
 
   EXPECT_TRUE(rig.read_path.IsMaterializedShared(rig.geo.volume));
   EXPECT_FALSE(rig.read_path.IsMaterializedShared(rig.geo.weight));
@@ -158,7 +158,7 @@ TEST(ReadPathTest, ConcurrentUnmaterializedFunctionFallsThrough) {
 TEST(ReadPathTest, ConcurrentBackwardRangeOverValidRows) {
   Rig rig;
   rig.MaterializeVolume();
-  ConcurrentCtx session;
+  ReaderCtx session;
 
   auto rows = rig.read_path.BackwardRange(&session.ctx, rig.geo.volume, 150,
                                           400, true, true);
@@ -175,7 +175,7 @@ TEST(ReadPathTest, ConcurrentBackwardResolvesInvalidRowsTransiently) {
   Rig rig;
   GmrId id = rig.MaterializeVolume();
   ASSERT_TRUE(rig.maint.InvalidateAllResults(id).ok());
-  ConcurrentCtx session;
+  ReaderCtx session;
 
   auto rows = rig.read_path.BackwardRange(&session.ctx, rig.geo.volume, 150,
                                           400, true, true);
@@ -199,19 +199,19 @@ TEST(ReadPathTest, ConcurrentBackwardRejectsIncrementalGmr) {
   spec.functions = {rig.geo.volume};
   spec.complete = false;
   ASSERT_TRUE(rig.maint.Materialize(std::move(spec)).ok());
-  ConcurrentCtx session;
+  ReaderCtx session;
 
   auto rows = rig.read_path.BackwardRange(&session.ctx, rig.geo.volume, 0,
                                           1000, true, true);
   EXPECT_EQ(rows.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(ReadPathTest, OwnerPathStillHealsInvalidRows) {
+TEST(ReadPathTest, WriterPathStillHealsInvalidRows) {
   Rig rig;
   GmrId id = rig.MaterializeVolume();
   ASSERT_TRUE(rig.maint.InvalidateAllResults(id).ok());
 
-  // Owner mode (null context): the pre-split repair semantics.
+  // A writer (null context): the pre-split repair semantics.
   auto v = rig.read_path.ForwardLookup(nullptr, rig.geo.volume,
                                        {Value::Ref(rig.c1)});
   ASSERT_TRUE(v.ok()) << v.status().ToString();
@@ -224,10 +224,29 @@ TEST(ReadPathTest, OwnerPathStillHealsInvalidRows) {
   EXPECT_TRUE((*gmr->Get(*row))->valid[0]);
 }
 
+TEST(ReadPathTest, ReaderBackwardSkipsInvalidRowOutOfRange) {
+  Rig rig;
+  GmrId id = rig.MaterializeVolume();
+  Gmr* gmr = *rig.catalog.Get(id);
+  RowId c3_row = *gmr->FindRow({Value::Ref(rig.c3)});  // volume 100
+  ASSERT_TRUE(gmr->InvalidateResult(c3_row, 0).ok());
+  ReaderCtx session;
+
+  // [150, 400] holds c1 and c2 through the index; c3 is resolved
+  // transiently and falls outside the range.
+  auto rows = rig.read_path.BackwardRange(&session.ctx, rig.geo.volume, 150,
+                                          400, true, true);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 2u);
+  for (const auto& r : *rows) EXPECT_NE(r[0].as_ref(), rig.c3);
+  EXPECT_EQ(session.stats.plain_evaluations, 1u);
+  EXPECT_FALSE(*gmr->ResultValid(c3_row, 0));
+}
+
 TEST(ReadPathTest, SessionClockChargesStayPrivate) {
   Rig rig;
   rig.MaterializeVolume();
-  ConcurrentCtx session;
+  ReaderCtx session;
   double global_before = rig.clock.seconds();
 
   auto v = rig.read_path.BackwardRange(&session.ctx, rig.geo.volume, 0, 1000,

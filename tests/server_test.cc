@@ -12,6 +12,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -270,6 +272,40 @@ TEST(ServerTest, GracefulDrainUnderLoad) {
   rig.server->Stop();
   Client late;
   EXPECT_FALSE(late.Connect(rig.server->port()).ok() && late.Ping().ok());
+}
+
+TEST(ServerTest, StartStopWithoutTrafficNeverHangs) {
+  // Stop right after Start catches workers on their way into the queue
+  // wait; the quit flag must reach every one of them. A lost wake-up hangs
+  // Stop, so the cycles run on a helper thread under a deadline.
+  StackOptions opts;
+  opts.num_cuboids = 8;
+  opts.seed = 71;
+  opts.materialize_volume = true;
+  std::shared_ptr<CompanyStack> stack = workload::MakeCompanyStack(opts);
+  ASSERT_TRUE(stack->setup.ok()) << stack->setup.ToString();
+  auto done = std::make_shared<std::promise<void>>();
+  auto start_failures = std::make_shared<std::atomic<int>>(0);
+  std::future<void> finished = done->get_future();
+  std::thread cycler([stack, done, start_failures] {
+    ServerOptions sopts;
+    sopts.num_workers = 4;
+    for (int i = 0; i < 200; ++i) {
+      Server server(&stack->env, sopts);
+      if (!server.Start().ok()) start_failures->fetch_add(1);
+      server.Stop();
+    }
+    done->set_value();
+  });
+  bool ready = finished.wait_for(std::chrono::seconds(60)) ==
+               std::future_status::ready;
+  if (ready) {
+    cycler.join();
+  } else {
+    cycler.detach();  // hung in Stop; the process exit reaps it
+  }
+  ASSERT_TRUE(ready) << "Server::Stop hung after Start with no traffic";
+  EXPECT_EQ(start_failures->load(), 0);
 }
 
 // --- hostile-client behaviour against the reactor ---------------------------
